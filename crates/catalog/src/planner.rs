@@ -19,7 +19,7 @@ use crate::cost::{CostModel, SubPlanStats};
 use crate::parallel::NodeSetSet;
 pub use crate::table::{BestJoin, Candidate, CandidateJoin, DpTable, EdgeListRef, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
-use qo_hypergraph::{EdgeId, Hypergraph};
+use qo_hypergraph::{CsgIncidence, EdgeId, Hypergraph};
 use qo_plan::JoinOp;
 use std::collections::HashSet;
 
@@ -125,9 +125,10 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
     /// references, …).
     ///
     /// `edges` must be the connecting edges of `(a.set, b.set)` — the caller obtains them via
-    /// [`Hypergraph::connecting_edges_into`] into a reused buffer so that the per-pair hot path
-    /// performs no allocation; the returned candidate borrows that buffer until it is offered
-    /// to the [`DpTable`] (which interns the list only if the offer is accepted).
+    /// [`Hypergraph::connecting_edges_into`] (or its per-csg form
+    /// [`Hypergraph::connecting_edges_of_csg`]) into a reused buffer so that the per-pair hot
+    /// path performs no allocation; the returned candidate borrows that buffer until it is
+    /// offered to the [`DpTable`] (which interns the list only if the offer is accepted).
     pub fn combine<'e>(
         &self,
         a: &SubPlanStats<W>,
@@ -399,7 +400,9 @@ struct PruneState<const W: usize> {
 ///
 /// Generic over the cost model like [`JoinCombiner`]; a concrete `M` makes the whole
 /// pair-processing path — connecting-edge collection into a reused buffer, candidate
-/// construction, cost call, table offer — free of virtual dispatch and allocation.
+/// construction, cost call, table offer — free of virtual dispatch and allocation. The csg
+/// half of the connecting-edge collection is computed once per csg and reused for all of its
+/// complements, which DPhyp emits in a row.
 ///
 /// [`with_bound`](Self::with_bound) additionally enables cost-bounded branch-and-bound
 /// pruning: candidates whose accumulated cost exceeds a known complete-plan cost are not
@@ -414,6 +417,8 @@ where
     table: DpTable<W>,
     /// Reused connecting-edge buffer; one `emit_ccp` at a time borrows it.
     edge_buf: Vec<EdgeId>,
+    /// The csg half of the connecting-edge collection for the last pair's `S1`.
+    csg: CsgIncidence<W>,
     ccps: usize,
     /// Branch-and-bound state; `None` when pruning is off.
     prune: Option<PruneState<W>>,
@@ -426,6 +431,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
             combiner,
             table: DpTable::new(),
             edge_buf: Vec::new(),
+            csg: CsgIncidence::new(),
             ccps: 0,
             prune: None,
         }
@@ -444,6 +450,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
             combiner,
             table: DpTable::new(),
             edge_buf: Vec::new(),
+            csg: CsgIncidence::new(),
             ccps: 0,
             prune: Some(PruneState {
                 bound,
@@ -492,9 +499,12 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
                 let union = s1 | s2;
                 if !self.table.contains(union) && !prune.tombstones.contains(union) {
                     let feasible = self.combiner.always_combines() || {
-                        self.combiner
-                            .graph()
-                            .connecting_edges_into(s1, s2, &mut self.edge_buf);
+                        self.combiner.graph().connecting_edges_of_csg(
+                            &mut self.csg,
+                            s1,
+                            s2,
+                            &mut self.edge_buf,
+                        );
                         self.combiner.feasible(s1, s2, &self.edge_buf)
                     };
                     if feasible {
@@ -506,7 +516,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
         };
         self.combiner
             .graph()
-            .connecting_edges_into(s1, s2, &mut self.edge_buf);
+            .connecting_edges_of_csg(&mut self.csg, s1, s2, &mut self.edge_buf);
         if let Some(candidate) = self.combiner.combine(&a, &b, &self.edge_buf) {
             debug_assert!(
                 candidate.cost >= a.cost.max(b.cost).max(0.0),
@@ -571,7 +581,7 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
         };
         self.combiner
             .graph()
-            .connecting_edges_into(s1, s2, &mut self.edge_buf);
+            .connecting_edges_of_csg(&mut self.csg, s1, s2, &mut self.edge_buf);
         if let Some(candidate) = self.combiner.combine(&a, &b, &self.edge_buf) {
             self.table.offer(candidate);
         }

@@ -100,9 +100,11 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
+        // Every complement is tested against the same s1: compute its simple-neighbor mask once.
+        let s1_neighbors = self.graph.simple_neighbors_of_set(s1);
         for v in neighborhood.iter_descending() {
             let s2 = NodeSet::single(v);
-            if self.graph.has_connecting_edge(s1, s2) {
+            if self.graph.has_connecting_edge_with(s1, s1_neighbors, s2) {
                 propagate!(self.handler.emit_ccp(s1, s2));
             }
             // While the seed {v} may not yet be connected to s1 (it may only be the
@@ -110,27 +112,36 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
             // complement. Forbid the neighbors that are still to be processed at this level to
             // avoid duplicate complements.
             let forbidden = x | (NodeSet::prefix_through(v) & neighborhood);
-            propagate!(self.enumerate_cmp_rec(s1, s2, forbidden));
+            propagate!(self.enumerate_cmp_rec(s1, s1_neighbors, s2, forbidden));
         }
         EmitSignal::Continue
     }
 
     /// `EnumerateCmpRec`: extends the complement `s2` by subsets of its neighborhood, emitting a
-    /// csg-cmp-pair whenever the grown complement is connected and linked to `s1`.
-    fn enumerate_cmp_rec(&mut self, s1: NodeSet<W>, s2: NodeSet<W>, x: NodeSet<W>) -> EmitSignal {
+    /// csg-cmp-pair whenever the grown complement is connected and linked to `s1`
+    /// (`s1_neighbors` is `s1`'s simple-neighbor mask, computed once by `EmitCsg`).
+    fn enumerate_cmp_rec(
+        &mut self,
+        s1: NodeSet<W>,
+        s1_neighbors: NodeSet<W>,
+        s2: NodeSet<W>,
+        x: NodeSet<W>,
+    ) -> EmitSignal {
         let neighborhood = self.graph.neighborhood(s2, x);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
         for n in neighborhood.subsets() {
             let grown = s2 | n;
-            if self.handler.contains(grown) && self.graph.has_connecting_edge(s1, grown) {
+            if self.handler.contains(grown)
+                && self.graph.has_connecting_edge_with(s1, s1_neighbors, grown)
+            {
                 propagate!(self.handler.emit_ccp(s1, grown));
             }
         }
         let x_extended = x | neighborhood;
         for n in neighborhood.subsets() {
-            propagate!(self.enumerate_cmp_rec(s1, s2 | n, x_extended));
+            propagate!(self.enumerate_cmp_rec(s1, s1_neighbors, s2 | n, x_extended));
         }
         EmitSignal::Continue
     }

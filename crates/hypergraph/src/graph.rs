@@ -8,7 +8,8 @@ use std::fmt;
 ///
 /// Nodes are totally ordered by their index (`R_i ≺ R_j ⟺ i < j`), which is the ordering the
 /// enumeration algorithms rely on. Simple edges are additionally indexed into per-node neighbor
-/// masks so that the hot neighborhood computation does not have to scan them.
+/// masks, so that the hot neighborhood computation does not have to scan them, and into
+/// per-node incidence bitmaps over edge ids, from which connecting edges are collected.
 ///
 /// The const parameter `W` is the mask width in 64-bit words (default one word, up to 64
 /// relations); a `Hypergraph<2>` holds up to 128 relations. The width is fixed when the builder
@@ -41,10 +42,37 @@ pub struct Hypergraph<const W: usize = 1> {
     edges: Vec<Hyperedge<W>>,
     /// For every node, the union of the opposite endpoints of all *simple* edges incident to it.
     simple_neighbors: Vec<NodeSet<W>>,
-    /// Ids of all non-simple (complex or generalized) edges.
+    /// Ids of all non-simple (complex or generalized) edges, ascending.
     complex_edges: Vec<EdgeId>,
-    /// Ids of all simple edges, per node (used when collecting connecting edges / predicates).
-    simple_edges_per_node: Vec<Vec<EdgeId>>,
+    /// Words per node in `incidence`: `⌈edge_count / 64⌉`.
+    incidence_words: usize,
+    /// For every node, a bitmap over edge ids of the *simple* edges incident to it
+    /// (`incidence_words` words per node, node-major).
+    incidence: Vec<u64>,
+}
+
+/// The half of connecting-edge collection that depends on the csg `S1` alone: the union of the
+/// incidence bitmaps of `S1`'s nodes and `S1`'s simple-neighbor mask.
+///
+/// DPhyp emits every complement of a csg one after another, so a caller that keeps one
+/// `CsgIncidence` and passes it to [`Hypergraph::connecting_edges_of_csg`] for each pair pays
+/// for this half once per csg instead of once per pair. A `CsgIncidence` caches state of one
+/// graph; use it with that graph only.
+#[derive(Clone, Debug, Default)]
+pub struct CsgIncidence<const W: usize = 1> {
+    /// The csg loaded; empty before the first load (no csg is empty).
+    set: NodeSet<W>,
+    /// `simple_neighbors_of_set(set)`.
+    neighbors: NodeSet<W>,
+    /// `OR_{u ∈ set} incidence[u]`.
+    words: Vec<u64>,
+}
+
+impl<const W: usize> CsgIncidence<W> {
+    /// An empty cache; the first use loads its csg.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl<const W: usize> Hypergraph<W> {
@@ -117,8 +145,22 @@ impl<const W: usize> Hypergraph<W> {
 
     /// Is there at least one hyperedge connecting `s1` and `s2` (Def. 4 / Def. 7)?
     pub fn has_connecting_edge(&self, s1: NodeSet<W>, s2: NodeSet<W>) -> bool {
+        self.has_connecting_edge_with(s1, self.simple_neighbors_of_set(s1), s2)
+    }
+
+    /// [`has_connecting_edge`](Self::has_connecting_edge) with `s1`'s simple-neighbor mask
+    /// (`simple_neighbors_of_set(s1)`) supplied by a caller that tests many `s2` against one
+    /// `s1`.
+    #[inline]
+    pub fn has_connecting_edge_with(
+        &self,
+        s1: NodeSet<W>,
+        s1_neighbors: NodeSet<W>,
+        s2: NodeSet<W>,
+    ) -> bool {
+        debug_assert_eq!(s1_neighbors, self.simple_neighbors_of_set(s1));
         // Fast path: any simple edge from s1 into s2.
-        if self.simple_neighbors_of_set(s1).intersects(s2) {
+        if s1_neighbors.intersects(s2) {
             return true;
         }
         self.complex_edges
@@ -136,28 +178,108 @@ impl<const W: usize> Hypergraph<W> {
 
     /// Like [`Hypergraph::connecting_edges`], but clears and fills a caller-provided buffer so
     /// the planner's hot path (one call per emitted csg-cmp-pair) does not allocate.
+    ///
+    /// `s1` and `s2` must be disjoint. The ids come out in ascending order, each once — the
+    /// edges `e` of [`edges`](Self::edges) for which `e.connects(s1, s2)` holds, in id order.
     pub fn connecting_edges_into(&self, s1: NodeSet<W>, s2: NodeSet<W>, out: &mut Vec<EdgeId>) {
-        out.clear();
-        // Simple edges incident to the smaller side.
-        let (probe, _other) = if s1.len() <= s2.len() {
+        // The result is symmetric in the two sides; compute the neighbor mask of the smaller.
+        let (s1, s2) = if s1.len() <= s2.len() {
             (s1, s2)
         } else {
             (s2, s1)
         };
-        for node in probe {
-            for &eid in &self.simple_edges_per_node[node] {
-                if self.edges[eid].connects(s1, s2) && !out.contains(&eid) {
-                    out.push(eid);
+        // Only nodes with a simple edge across the cut contribute bitmaps: `reach` on the s2
+        // side, and on the s1 side the nodes adjacent to `reach`.
+        let reach = s2 & self.simple_neighbors_of_set(s1);
+        let touched = s1 & self.simple_neighbors_of_set(reach);
+        let words = self.incidence_words;
+        let s1_word = |w: usize| {
+            touched
+                .iter()
+                .fold(0, |acc, u| acc | self.incidence[u * words + w])
+        };
+        self.collect_connecting(s1, s2, reach, s1_word, out);
+    }
+
+    /// [`connecting_edges_into`](Self::connecting_edges_into) for a caller that pairs one csg
+    /// with many complements in a row: `csg` keeps the half of the work that depends on `s1`
+    /// alone and is reloaded only when `s1` differs from the csg it holds. Same output, same
+    /// contract.
+    pub fn connecting_edges_of_csg(
+        &self,
+        csg: &mut CsgIncidence<W>,
+        s1: NodeSet<W>,
+        s2: NodeSet<W>,
+        out: &mut Vec<EdgeId>,
+    ) {
+        if csg.set != s1 {
+            let words = self.incidence_words;
+            csg.words.clear();
+            csg.words.resize(words, 0);
+            let mut neighbors = NodeSet::EMPTY;
+            for u in s1 {
+                neighbors |= self.simple_neighbors[u];
+                let row = &self.incidence[u * words..(u + 1) * words];
+                for (acc, &x) in csg.words.iter_mut().zip(row) {
+                    *acc |= x;
                 }
             }
+            csg.set = s1;
+            csg.neighbors = neighbors - s1;
         }
-        for &eid in &self.complex_edges {
-            if self.edges[eid].connects(s1, s2) {
-                out.push(eid);
+        debug_assert_eq!(
+            csg.words.len(),
+            self.incidence_words,
+            "csg of another graph"
+        );
+        let reach = s2 & csg.neighbors;
+        self.collect_connecting(s1, s2, reach, |w| csg.words[w], out);
+    }
+
+    /// The connecting-edge kernel. A simple edge connects the disjoint sets `s1` and `s2` iff
+    /// it is incident to `s1` and to a node of `reach = s2 ∩ N(s1)`, so the simple edges of
+    /// word `w` are `s1_word(w) & OR_{v ∈ reach} incidence[v][w]`, where `s1_word(w)` is
+    /// `OR_{u ∈ s1} incidence[u][w]` (or that OR over any part of `s1` containing every node
+    /// adjacent to `reach`). Complex edges are tested one by one and merged into their word,
+    /// so the ids come out ascending without a sort.
+    #[inline]
+    fn collect_connecting(
+        &self,
+        s1: NodeSet<W>,
+        s2: NodeSet<W>,
+        reach: NodeSet<W>,
+        s1_word: impl Fn(usize) -> u64,
+        out: &mut Vec<EdgeId>,
+    ) {
+        debug_assert!(s1.is_disjoint(s2), "{s1:?} and {s2:?} overlap");
+        debug_assert_eq!(reach, s2 & self.simple_neighbors_of_set(s1));
+        out.clear();
+        if reach.is_empty() && self.complex_edges.is_empty() {
+            return;
+        }
+        let words = self.incidence_words;
+        let mut complex = self.complex_edges.iter().copied().peekable();
+        for w in 0..words {
+            let mut bits = 0u64;
+            if !reach.is_empty() {
+                let a = s1_word(w);
+                if a != 0 {
+                    let b = reach
+                        .iter()
+                        .fold(0, |acc, v| acc | self.incidence[v * words + w]);
+                    bits = a & b;
+                }
+            }
+            while let Some(eid) = complex.next_if(|&eid| eid / 64 == w) {
+                if self.edges[eid].connects(s1, s2) {
+                    bits |= 1 << (eid % 64);
+                }
+            }
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// All edge ids whose referenced nodes are fully contained in `s` (used by cardinality
@@ -237,8 +359,9 @@ impl<const W: usize> HypergraphBuilder<W> {
 
     /// Finalizes the graph, computing the per-node simple-edge indexes.
     pub fn build(self) -> Hypergraph<W> {
+        let words = self.edges.len().div_ceil(64);
         let mut simple_neighbors = vec![NodeSet::EMPTY; self.node_count];
-        let mut simple_edges_per_node = vec![Vec::new(); self.node_count];
+        let mut incidence = vec![0u64; self.node_count * words];
         let mut complex_edges = Vec::new();
         for (id, e) in self.edges.iter().enumerate() {
             if e.is_simple() {
@@ -246,8 +369,9 @@ impl<const W: usize> HypergraphBuilder<W> {
                 let b = e.right().min_node().expect("non-empty");
                 simple_neighbors[a].insert(b);
                 simple_neighbors[b].insert(a);
-                simple_edges_per_node[a].push(id);
-                simple_edges_per_node[b].push(id);
+                for node in [a, b] {
+                    incidence[node * words + id / 64] |= 1 << (id % 64);
+                }
             } else {
                 complex_edges.push(id);
             }
@@ -257,7 +381,8 @@ impl<const W: usize> HypergraphBuilder<W> {
             edges: self.edges,
             simple_neighbors,
             complex_edges,
-            simple_edges_per_node,
+            incidence_words: words,
+            incidence,
         }
     }
 }

@@ -32,6 +32,6 @@ pub use count::{
     count_ccps, count_connected_subgraphs, enumerate_ccps, enumerate_connected_subgraphs,
 };
 pub use edge::{EdgeId, Hyperedge};
-pub use graph::{Hypergraph, HypergraphBuilder};
+pub use graph::{CsgIncidence, Hypergraph, HypergraphBuilder};
 
 pub use qo_bitset::{NodeId, NodeSet};
