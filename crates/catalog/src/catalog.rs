@@ -92,6 +92,32 @@ impl StatsEpoch {
         h ^= h >> 32;
         StatsEpoch(h.wrapping_mul(0xD6E8_FEB8_6659_FD93))
     }
+
+    /// The epoch of a query's costing inputs: the relation cardinalities, each relation's
+    /// lateral-reference set, and each edge's selectivity and operator. This is
+    /// [`Catalog::stats_epoch`]; taking the inputs as plain sequences lets a caller holding
+    /// them in another form digest them without building a catalog.
+    pub fn of_stats<const W: usize>(
+        cardinalities: &[f64],
+        lateral_refs: impl Iterator<Item = NodeSet<W>>,
+        edges: impl ExactSizeIterator<Item = (f64, JoinOp)>,
+    ) -> StatsEpoch {
+        let mut epoch = StatsEpoch::SEED.fold(cardinalities.len() as u64);
+        for &c in cardinalities {
+            epoch = epoch.fold(c.to_bits());
+        }
+        for refs in lateral_refs {
+            for w in refs.words() {
+                epoch = epoch.fold(w);
+            }
+        }
+        epoch = epoch.fold(edges.len() as u64);
+        for (selectivity, op) in edges {
+            epoch = epoch.fold(selectivity.to_bits());
+            epoch = epoch.fold(op as u64);
+        }
+        epoch.finalize()
+    }
 }
 
 /// Statistics and annotations for one query: base-relation cardinalities, lateral references of
@@ -192,21 +218,11 @@ impl<const W: usize> Catalog<W> {
     /// The statistics epoch of this catalog: a digest over every costing input (cardinalities,
     /// selectivities, lateral-reference sets, operators). See [`StatsEpoch`].
     pub fn stats_epoch(&self) -> StatsEpoch {
-        let mut epoch = StatsEpoch::SEED.fold(self.cardinalities.len() as u64);
-        for &c in &self.cardinalities {
-            epoch = epoch.fold(c.to_bits());
-        }
-        for refs in &self.lateral_refs {
-            for w in refs.words() {
-                epoch = epoch.fold(w);
-            }
-        }
-        epoch = epoch.fold(self.edge_annotations.len() as u64);
-        for a in &self.edge_annotations {
-            epoch = epoch.fold(a.selectivity.to_bits());
-            epoch = epoch.fold(a.op as u64);
-        }
-        epoch.finalize()
+        StatsEpoch::of_stats(
+            &self.cardinalities,
+            self.lateral_refs.iter().copied(),
+            self.edge_annotations.iter().map(|a| (a.selectivity, a.op)),
+        )
     }
 
     /// Checks that the catalog matches the graph: same relation count and no annotated edge

@@ -25,9 +25,10 @@
 //! pathological tie that still relabels inconsistently is caught downstream by the cache's
 //! structural-equality check ([`same_shape`]) rather than trusted blindly.
 
-use crate::query::{QuerySpec, SpecEdge};
+use crate::query::{same_ids, QuerySpec, SpecEdge};
 use qo_bitset::NodeId;
 use qo_plan::JoinOp;
+use std::ops::Range;
 
 /// FxHash-style fold of one word into a running hash — [`qo_catalog::StatsEpoch`]'s scheme,
 /// reused so the workspace has exactly one implementation of it.
@@ -83,51 +84,54 @@ impl CanonicalQuery {
 }
 
 /// Computes the canonical form of a spec. See the [module docs](self) for the invariants.
+///
+/// The cost is a handful of allocations for scratch space plus the canonical spec it returns:
+/// linear in `n + e`, and nothing per refinement round.
 pub fn canonicalize(spec: &QuerySpec) -> CanonicalQuery {
     let _span = qo_obsv::Span::enter("canonicalize");
     let n = spec.node_count();
-    let edges: Vec<&SpecEdge> = spec.edges().collect();
+    let edges = spec.edge_list();
+    let graph = Incidence::new(spec);
+    // Sized for the largest multiset sorted below: a relation's incident edges plus its two
+    // lateral hashes, or all n colors.
+    let mut scratch = Vec::with_capacity(n.max(graph.max_degree() + 2));
 
     // ---- Weisfeiler–Leman color refinement over the hypergraph structure. ----
     // Initial colors: lateral-reference structure only (out-degree plus being-referenced
     // count); everything else emerges from refinement over the edges.
-    let mut referenced = vec![0u64; n];
-    for r in 0..n {
-        for &t in spec.lateral_refs(r) {
-            referenced[t] += 1;
-        }
-    }
     let init: Vec<u64> = (0..n)
         .map(|r| {
             finish(mix(
                 mix(0x1db3, spec.lateral_refs(r).len() as u64),
-                referenced[r],
+                graph.lateral_in(r).len() as u64,
             ))
         })
         .collect();
-    let color = refine(spec, &edges, init);
+    let color = refine(spec, &graph, init, &mut scratch);
 
     // ---- Shape hash: colors + edge signatures + lateral skeleton, all order-invariant. ----
-    let mut relation_colors = color.clone();
-    relation_colors.sort_unstable();
-    let mut edge_hashes: Vec<u64> = edges.iter().map(|e| edge_shape_hash(e, &color)).collect();
-    edge_hashes.sort_unstable();
-    let mut lateral_hashes: Vec<u64> = (0..n)
-        .map(|r| {
-            let mut refs: Vec<u64> = spec.lateral_refs(r).iter().map(|&t| color[t]).collect();
-            refs.sort_unstable();
-            hash_seq(0x1a7e, std::iter::once(color[r]).chain(refs))
-        })
-        .collect();
-    lateral_hashes.sort_unstable();
-    let shape_hash = hash_seq(
-        SHAPE_SEED,
-        [n as u64, edges.len() as u64]
-            .into_iter()
-            .chain(relation_colors)
-            .chain(edge_hashes)
-            .chain(lateral_hashes),
+    // One word buffer holds the three sorted runs in the order they are hashed.
+    let mut words = Vec::with_capacity(2 + 2 * n + edges.len());
+    words.extend([n as u64, edges.len() as u64]);
+    words.extend_from_slice(&color);
+    words[2..].sort_unstable();
+    let runs = words.len();
+    words.extend(
+        edges
+            .iter()
+            .map(|e| edge_shape_hash(e, &color, &mut scratch)),
     );
+    words[runs..].sort_unstable();
+    let runs = words.len();
+    for r in 0..n {
+        let refs = sorted_colors(spec.lateral_refs(r), &color, &mut scratch);
+        words.push(hash_seq(
+            0x1a7e,
+            std::iter::once(color[r]).chain(refs.iter().copied()),
+        ));
+    }
+    words[runs..].sort_unstable();
+    let shape_hash = hash_seq(SHAPE_SEED, words.iter().copied());
 
     // ---- Canonical relation order: structural color, original id as the tie-break. ----
     // Statistics are deliberately *not* part of the order: the cache's bread-and-butter case
@@ -139,7 +143,7 @@ pub fn canonicalize(spec: &QuerySpec) -> CanonicalQuery {
     // canonicalize to a different-but-isomorphic skeleton, which the cache detects via
     // [`same_shape`] and answers with a full (still correct) optimization.
     let mut order: Vec<NodeId> = (0..n).collect();
-    order.sort_by(|&a, &b| color[a].cmp(&color[b]).then(a.cmp(&b)));
+    order.sort_unstable_by_key(|&r| (color[r], r));
     // order[c] = original id of canonical relation c; invert for original → canonical.
     let mut to_canonical = vec![0usize; n];
     for (c, &orig) in order.iter().enumerate() {
@@ -147,74 +151,85 @@ pub fn canonicalize(spec: &QuerySpec) -> CanonicalQuery {
     }
 
     // ---- Canonical edges: remap, sort sides, side-normalize commutative ops, sort edges. ----
+    // Every remapped side is a sorted run of one shared id buffer.
     struct CanonEdge {
-        left: Vec<NodeId>,
-        right: Vec<NodeId>,
-        flex: Vec<NodeId>,
-        op: JoinOp,
-        selectivity: f64,
+        left: Range<usize>,
+        right: Range<usize>,
+        flex: Range<usize>,
         original: usize,
     }
+    let mut ids: Vec<NodeId> = Vec::with_capacity(
+        edges
+            .iter()
+            .map(|e| e.left().len() + e.right().len() + e.flex().len())
+            .sum(),
+    );
+    let map_side = |ids: &mut Vec<NodeId>, side: &[NodeId]| {
+        let start = ids.len();
+        ids.extend(side.iter().map(|&r| to_canonical[r]));
+        ids[start..].sort_unstable();
+        start..ids.len()
+    };
     let mut canon_edges: Vec<CanonEdge> = edges
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let map_side = |ids: &[NodeId]| {
-                let mut v: Vec<NodeId> = ids.iter().map(|&r| to_canonical[r]).collect();
-                v.sort_unstable();
-                v
-            };
-            let mut left = map_side(e.left());
-            let mut right = map_side(e.right());
-            let flex = map_side(e.flex());
+            let mut left = map_side(&mut ids, e.left());
+            let mut right = map_side(&mut ids, e.right());
+            let flex = map_side(&mut ids, e.flex());
             // A commutative operator's sides are interchangeable: store the lexicographically
             // smaller one first so `A -- B` and `B -- A` submissions canonicalize identically.
-            if e.op().is_commutative() && left > right {
+            if e.op().is_commutative() && ids[left.clone()] > ids[right.clone()] {
                 std::mem::swap(&mut left, &mut right);
             }
             CanonEdge {
                 left,
                 right,
                 flex,
-                op: e.op(),
-                selectivity: e.selectivity(),
                 original: i,
             }
         })
         .collect();
     // Selectivities stay out of the sort for the same drift-stability reason as above; the
-    // original index breaks ties between parallel edges.
-    canon_edges.sort_by(|a, b| {
-        a.left
-            .cmp(&b.left)
-            .then_with(|| a.right.cmp(&b.right))
-            .then_with(|| a.flex.cmp(&b.flex))
-            .then_with(|| op_rank(a.op).cmp(&op_rank(b.op)))
+    // original index breaks ties between parallel edges, so the order is total.
+    canon_edges.sort_unstable_by(|a, b| {
+        ids[a.left.clone()]
+            .cmp(&ids[b.left.clone()])
+            .then_with(|| ids[a.right.clone()].cmp(&ids[b.right.clone()]))
+            .then_with(|| ids[a.flex.clone()].cmp(&ids[b.flex.clone()]))
+            .then_with(|| op_rank(edges[a.original].op()).cmp(&op_rank(edges[b.original].op())))
             .then_with(|| a.original.cmp(&b.original))
     });
 
     // ---- Assemble the canonical spec. ----
     let mut b = QuerySpec::builder(n);
+    b.reserve_edges(canon_edges.len());
     for (c, &orig) in order.iter().enumerate() {
         b.set_cardinality(c, spec.cardinality(orig));
-        let mut refs: Vec<NodeId> = spec
-            .lateral_refs(orig)
-            .iter()
-            .map(|&t| to_canonical[t])
-            .collect();
-        refs.sort_unstable();
-        if !refs.is_empty() {
+        if !spec.lateral_refs(orig).is_empty() {
+            let mut refs: Vec<NodeId> = spec
+                .lateral_refs(orig)
+                .iter()
+                .map(|&t| to_canonical[t])
+                .collect();
+            refs.sort_unstable();
             b.set_lateral_refs(c, &refs);
         }
     }
     let mut edge_to_original = Vec::with_capacity(canon_edges.len());
-    for e in &canon_edges {
-        if e.flex.is_empty() {
-            b.add_edge(&e.left, &e.right, e.selectivity, e.op);
+    for ce in &canon_edges {
+        let e = &edges[ce.original];
+        let (left, right, flex) = (
+            &ids[ce.left.clone()],
+            &ids[ce.right.clone()],
+            &ids[ce.flex.clone()],
+        );
+        if flex.is_empty() {
+            b.add_edge(left, right, e.selectivity(), e.op());
         } else {
-            b.add_generalized_edge(&e.left, &e.right, &e.flex, e.selectivity);
+            b.add_generalized_edge(left, right, flex, e.selectivity());
         }
-        edge_to_original.push(e.original);
+        edge_to_original.push(ce.original);
     }
 
     CanonicalQuery {
@@ -225,65 +240,146 @@ pub fn canonicalize(spec: &QuerySpec) -> CanonicalQuery {
     }
 }
 
+/// The incidence structure refinement walks, in compressed sparse rows (`offsets` has one
+/// entry per relation plus one; row `r` is `items[offsets[r]..offsets[r + 1]]`).
+struct Incidence {
+    /// Per relation, its edge memberships as signature slots `3 · edge + role` (role 0 =
+    /// left, 1 = right, 2 = flex).
+    edge_offsets: Vec<usize>,
+    edge_slots: Vec<usize>,
+    /// Per relation, the relations referencing it laterally; empty (no allocation) when the
+    /// spec has no lateral references.
+    lateral_offsets: Vec<usize>,
+    lateral_sources: Vec<NodeId>,
+}
+
+impl Incidence {
+    fn new(spec: &QuerySpec) -> Incidence {
+        let n = spec.node_count();
+        let (edge_offsets, edge_slots) = csr(n, |push| {
+            for (i, e) in spec.edge_list().iter().enumerate() {
+                for (role, side) in [e.left(), e.right(), e.flex()].into_iter().enumerate() {
+                    for &r in side {
+                        push(r, 3 * i + role);
+                    }
+                }
+            }
+        });
+        let (lateral_offsets, lateral_sources) = if (0..n).any(|r| !spec.lateral_refs(r).is_empty())
+        {
+            csr(n, |push| {
+                for s in 0..n {
+                    for &t in spec.lateral_refs(s) {
+                        push(t, s);
+                    }
+                }
+            })
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Incidence {
+            edge_offsets,
+            edge_slots,
+            lateral_offsets,
+            lateral_sources,
+        }
+    }
+
+    fn edge_slots(&self, r: NodeId) -> &[usize] {
+        &self.edge_slots[self.edge_offsets[r]..self.edge_offsets[r + 1]]
+    }
+
+    /// The most edge memberships of any relation.
+    fn max_degree(&self) -> usize {
+        self.edge_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn has_laterals(&self) -> bool {
+        !self.lateral_offsets.is_empty()
+    }
+
+    fn lateral_in(&self, r: NodeId) -> &[NodeId] {
+        if !self.has_laterals() {
+            return &[];
+        }
+        &self.lateral_sources[self.lateral_offsets[r]..self.lateral_offsets[r + 1]]
+    }
+}
+
+/// Builds compressed sparse rows over `n` rows from the `(row, item)` pairs `pairs` emits
+/// (it is called twice: once to count, once to fill). Items keep their emission order.
+fn csr(n: usize, pairs: impl Fn(&mut dyn FnMut(usize, usize))) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = vec![0usize; n + 1];
+    pairs(&mut |row, _| offsets[row + 1] += 1);
+    for r in 0..n {
+        offsets[r + 1] += offsets[r];
+    }
+    // Fill with `offsets[r]` as row r's cursor, which leaves it at row r's end = row r+1's
+    // start; shifting by one restores the starts.
+    let mut items = vec![0usize; offsets[n]];
+    pairs(&mut |row, item| {
+        items[offsets[row]] = item;
+        offsets[row] += 1;
+    });
+    offsets.copy_within(0..n, 1);
+    offsets[0] = 0;
+    (offsets, items)
+}
+
 /// Weisfeiler–Leman color refinement: starting from `init`, repeatedly re-colors every
 /// relation with (its color, the sorted multiset of its incident edge signatures, its lateral
 /// in/out color profile) until the color partition stops refining. The result is invariant
 /// under relabeling of the relations.
-fn refine(spec: &QuerySpec, edges: &[&SpecEdge], init: Vec<u64>) -> Vec<u64> {
+///
+/// A round allocates nothing: edge signatures are computed once per edge and role into a
+/// slot array, and every multiset is sorted in `scratch`.
+fn refine(spec: &QuerySpec, graph: &Incidence, init: Vec<u64>, scratch: &mut Vec<u64>) -> Vec<u64> {
     let n = spec.node_count();
-    // Incidence lists: (edge index, role) per relation, so a round touches each edge once per
-    // member instead of scanning the whole edge list per relation.
-    let mut incident: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        for &r in e.left() {
-            incident[r].push((i, 0));
-        }
-        for &r in e.right() {
-            incident[r].push((i, 1));
-        }
-        for &r in e.flex() {
-            incident[r].push((i, 2));
-        }
-    }
-    let mut lat_in: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for s in 0..n {
-        for &t in spec.lateral_refs(s) {
-            lat_in[t].push(s);
-        }
-    }
-
-    let distinct = |c: &[u64]| {
-        let mut v = c.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
+    let edges = spec.edge_list();
+    // The lateral profile of a relation without lateral references in either direction.
+    let no_laterals = [hash_seq(0xa110, []), hash_seq(0xa111, [])];
+    let mut signatures = vec![0u64; 3 * edges.len()];
+    let distinct = |c: &[u64], scratch: &mut Vec<u64>| {
+        scratch.clear();
+        scratch.extend_from_slice(c);
+        scratch.sort_unstable();
+        scratch.dedup();
+        scratch.len()
     };
     let mut color = init;
-    let mut partition = distinct(&color);
+    let mut next = vec![0u64; n];
+    let mut partition = distinct(&color, scratch);
     // WL converges within n productive rounds (each grows the partition by at least one).
     for _ in 0..n.max(1) {
-        let mut next = Vec::with_capacity(n);
+        for (i, e) in edges.iter().enumerate() {
+            edge_signatures(e, &color, scratch, &mut signatures[3 * i..3 * i + 3]);
+        }
         for r in 0..n {
-            let mut contributions: Vec<u64> = incident[r]
-                .iter()
-                .map(|&(i, role)| edge_signature_for(edges[i], role, &color))
-                .collect();
             // Lateral references refine too: the colors a relation references, and the colors
             // that reference it.
-            let mut lat_out: Vec<u64> = spec.lateral_refs(r).iter().map(|&t| color[t]).collect();
-            lat_out.sort_unstable();
-            let mut lat_in_colors: Vec<u64> = lat_in[r].iter().map(|&s| color[s]).collect();
-            lat_in_colors.sort_unstable();
-            contributions.push(hash_seq(0xa110, lat_out));
-            contributions.push(hash_seq(0xa111, lat_in_colors));
-            contributions.sort_unstable();
-            next.push(hash_seq(
+            let lateral = if graph.has_laterals() {
+                [
+                    colors_hash(spec.lateral_refs(r), 0xa110, &color, scratch),
+                    colors_hash(graph.lateral_in(r), 0xa111, &color, scratch),
+                ]
+            } else {
+                no_laterals
+            };
+            scratch.clear();
+            scratch.extend(graph.edge_slots(r).iter().map(|&s| signatures[s]));
+            scratch.extend(lateral);
+            scratch.sort_unstable();
+            next[r] = hash_seq(
                 0xc010,
-                std::iter::once(color[r]).chain(contributions),
-            ));
+                std::iter::once(color[r]).chain(scratch.iter().copied()),
+            );
         }
-        let next_partition = distinct(&next);
-        color = next;
+        let next_partition = distinct(&next, scratch);
+        std::mem::swap(&mut color, &mut next);
         if next_partition == partition {
             break;
         }
@@ -292,46 +388,49 @@ fn refine(spec: &QuerySpec, edges: &[&SpecEdge], init: Vec<u64>) -> Vec<u64> {
     color
 }
 
-/// Edge signature from the perspective of one member (role 0 = left, 1 = right, 2 = flex);
-/// commutative operators erase the left/right distinction.
-fn edge_signature_for(e: &SpecEdge, role: u64, color: &[u64]) -> u64 {
-    let commutative = e.op().is_commutative();
-    let side_hash = |ids: &[NodeId], seed: u64| {
-        let mut c: Vec<u64> = ids.iter().map(|&r| color[r]).collect();
-        c.sort_unstable();
-        hash_seq(seed, c)
-    };
-    let mut sides = [side_hash(e.left(), 0x51de), side_hash(e.right(), 0x51de)];
-    let mut eff_role = role;
-    if commutative {
-        // Normalize: sides in sorted hash order, membership role collapsed to "a side".
-        if sides[0] > sides[1] {
-            sides.swap(0, 1);
-        }
-        if eff_role == 1 {
-            eff_role = 0;
-        }
-    }
-    hash_seq(
-        0xed9e,
-        [
-            op_rank(e.op()),
-            eff_role,
-            sides[0],
-            sides[1],
-            side_hash(e.flex(), 0xf1e8),
-        ],
-    )
+/// The colors of `ids`, sorted, in `scratch`.
+fn sorted_colors<'a>(ids: &[NodeId], color: &[u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    scratch.clear();
+    scratch.extend(ids.iter().map(|&r| color[r]));
+    scratch.sort_unstable();
+    scratch
 }
 
-/// Role-free structural hash of one edge (used for the shape digest and stats tie-breaks).
-fn edge_shape_hash(e: &SpecEdge, color: &[u64]) -> u64 {
-    let side_hash = |ids: &[NodeId], seed: u64| {
-        let mut c: Vec<u64> = ids.iter().map(|&r| color[r]).collect();
-        c.sort_unstable();
-        hash_seq(seed, c)
-    };
-    let mut sides = [side_hash(e.left(), 0x51de), side_hash(e.right(), 0x51de)];
+/// Hash of the color multiset of `ids` (a hypernode side, a lateral list), sorted, under a
+/// domain seed.
+fn colors_hash(ids: &[NodeId], seed: u64, color: &[u64], scratch: &mut Vec<u64>) -> u64 {
+    hash_seq(seed, sorted_colors(ids, color, scratch).iter().copied())
+}
+
+/// An edge's signature from the perspective of each member role, into `out[role]` (role 0 =
+/// left, 1 = right, 2 = flex; the flex slot is filled only for generalized edges, the only
+/// ones with flex members). Commutative operators erase the left/right distinction.
+fn edge_signatures(e: &SpecEdge, color: &[u64], scratch: &mut Vec<u64>, out: &mut [u64]) {
+    let op = op_rank(e.op());
+    let mut sides = [
+        colors_hash(e.left(), 0x51de, color, scratch),
+        colors_hash(e.right(), 0x51de, color, scratch),
+    ];
+    let flex = colors_hash(e.flex(), 0xf1e8, color, scratch);
+    let commutative = e.op().is_commutative();
+    if commutative && sides[0] > sides[1] {
+        // Normalize: sides in sorted hash order, membership role collapsed to "a side".
+        sides.swap(0, 1);
+    }
+    let signature = |role: u64| hash_seq(0xed9e, [op, role, sides[0], sides[1], flex]);
+    out[0] = signature(0);
+    out[1] = if commutative { out[0] } else { signature(1) };
+    if !e.flex().is_empty() {
+        out[2] = signature(2);
+    }
+}
+
+/// Role-free structural hash of one edge (used for the shape digest).
+fn edge_shape_hash(e: &SpecEdge, color: &[u64], scratch: &mut Vec<u64>) -> u64 {
+    let mut sides = [
+        colors_hash(e.left(), 0x51de, color, scratch),
+        colors_hash(e.right(), 0x51de, color, scratch),
+    ];
     if e.op().is_commutative() && sides[0] > sides[1] {
         sides.swap(0, 1);
     }
@@ -341,7 +440,7 @@ fn edge_shape_hash(e: &SpecEdge, color: &[u64]) -> u64 {
             op_rank(e.op()),
             sides[0],
             sides[1],
-            side_hash(e.flex(), 0xf1e8),
+            colors_hash(e.flex(), 0xf1e8, color, scratch),
         ],
     )
 }
@@ -357,14 +456,13 @@ pub fn same_shape(a: &QuerySpec, b: &QuerySpec) -> bool {
     if a.node_count() != b.node_count() || a.edge_count() != b.edge_count() {
         return false;
     }
-    for r in 0..a.node_count() {
-        if a.lateral_refs(r) != b.lateral_refs(r) {
-            return false;
-        }
-    }
-    a.edges().zip(b.edges()).all(|(x, y)| {
-        x.left() == y.left() && x.right() == y.right() && x.flex() == y.flex() && x.op() == y.op()
-    })
+    (0..a.node_count()).all(|r| same_ids(a.lateral_refs(r), b.lateral_refs(r)))
+        && a.edges().zip(b.edges()).all(|(x, y)| {
+            same_ids(x.left(), y.left())
+                && same_ids(x.right(), y.right())
+                && same_ids(x.flex(), y.flex())
+                && x.op() == y.op()
+        })
 }
 
 /// Seed of the shape digest (a distinct domain from every per-component seed above).

@@ -71,7 +71,9 @@ impl Token {
 /// Fails with a spanned [`JgError`] on the first byte that starts no token.
 pub fn lex(source: &str) -> Result<Vec<Token>, JgError> {
     let bytes = source.as_bytes();
-    let mut tokens = Vec::new();
+    // Sized for a token per four bytes (the embedded corpus has one per eight to eleven), so
+    // lexing a query does not regrow the vector.
+    let mut tokens = Vec::with_capacity(bytes.len() / 4 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];

@@ -11,7 +11,7 @@
 //! offending source bytes, so a bad statistic in line 40 of a corpus file is a one-line fix,
 //! not a NaN cost surfacing three crates later.
 
-use crate::ast::{JoinDecl, OptionValue, QueryDecl, RelationDecl};
+use crate::ast::{JoinDecl, Name, OptionValue, QueryDecl, RelationDecl};
 use crate::parser::parse;
 use crate::span::{JgError, Span};
 use dphyp::{
@@ -19,7 +19,6 @@ use dphyp::{
     QuerySpec,
 };
 use qo_plan::JoinOp;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Per-query planner options parsed from `option` statements; every field overlays the
@@ -129,7 +128,7 @@ pub fn parse_queries(source: &str) -> Result<Vec<IngestQuery>, JgError> {
 }
 
 /// Lowers one parsed query block, validating names and statistics.
-pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
+pub fn lower_query(q: &QueryDecl<'_>) -> Result<IngestQuery, JgError> {
     if q.relations.is_empty() {
         return Err(JgError::new(
             format!("query `{}` declares no relations", q.name.text),
@@ -137,23 +136,38 @@ pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
         ));
     }
 
-    // Pass 1: relation ids from declaration order, rejecting duplicates.
-    let mut ids: HashMap<&str, usize> = HashMap::new();
-    for (id, r) in q.relations.iter().enumerate() {
-        if ids.insert(&r.name.text, id).is_some() {
-            return Err(JgError::new(
-                format!("relation `{}` is declared twice", r.name.text),
-                r.name.span,
-            ));
-        }
+    // Pass 1: relation ids from declaration order, in a name index sorted for binary search.
+    // A duplicate is an entry whose predecessor has the same name; the error names the
+    // earliest-declared repeat.
+    let mut index: Vec<(&str, usize)> = q
+        .relations
+        .iter()
+        .enumerate()
+        .map(|(id, r)| (r.name.text, id))
+        .collect();
+    index.sort_unstable();
+    if let Some(id) = index
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
+    {
+        let r = &q.relations[id];
+        return Err(JgError::new(
+            format!("relation `{}` is declared twice", r.name.text),
+            r.name.span,
+        ));
     }
-    let resolve = |name: &crate::ast::Name| -> Result<usize, JgError> {
-        ids.get(name.text.as_str()).copied().ok_or_else(|| {
-            JgError::new(
-                format!("relation `{}` is not declared in this query", name.text),
-                name.span,
-            )
-        })
+    let resolve = |name: &Name<'_>| -> Result<usize, JgError> {
+        index
+            .binary_search_by(|&(text, _)| text.cmp(name.text))
+            .map(|i| index[i].1)
+            .map_err(|_| {
+                JgError::new(
+                    format!("relation `{}` is not declared in this query", name.text),
+                    name.span,
+                )
+            })
     };
 
     // Pass 2: statistics and lateral references.
@@ -176,11 +190,14 @@ pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
         }
     }
 
-    // Pass 3: joins, in statement order (= lowered edge-id order).
+    // Pass 3: joins, in statement order (= lowered edge-id order). The sides are resolved
+    // into buffers reused across joins; the builder copies them into the spec.
+    b.reserve_edges(q.joins.len());
+    let (mut left, mut right, mut flex) = (Vec::new(), Vec::new(), Vec::new());
     for j in &q.joins {
-        let left = resolve_side(&j.left.relations, &resolve)?;
-        let right = resolve_side(&j.right.relations, &resolve)?;
-        let flex = resolve_side(&j.flex, &resolve)?;
+        resolve_side(&j.left.relations, &resolve, &mut left)?;
+        resolve_side(&j.right.relations, &resolve, &mut right)?;
+        resolve_side(&j.flex, &resolve, &mut flex)?;
         check_disjoint(&left, &j.left.span, &right, &j.right.span, q)?;
         for (f, name) in flex.iter().zip(&j.flex) {
             if left.contains(f) || right.contains(f) {
@@ -196,7 +213,7 @@ pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
         let selectivity = lower_selectivity(j)?;
         let op = match &j.op {
             None => JoinOp::Inner,
-            Some(name) => op_from_name(&name.text).ok_or_else(|| {
+            Some(name) => op_from_name(name.text).ok_or_else(|| {
                 JgError::new(
                     format!(
                         "unknown join operator `{}` (expected one of: {})",
@@ -226,8 +243,12 @@ pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
     }
 
     Ok(IngestQuery {
-        name: q.name.text.clone(),
-        relation_names: q.relations.iter().map(|r| r.name.text.clone()).collect(),
+        name: q.name.text.to_string(),
+        relation_names: q
+            .relations
+            .iter()
+            .map(|r| r.name.text.to_string())
+            .collect(),
         spec: b.build(),
         options: lower_options(q)?,
         row_overrides: q
@@ -238,7 +259,7 @@ pub fn lower_query(q: &QueryDecl) -> Result<IngestQuery, JgError> {
     })
 }
 
-fn lower_cardinality(r: &RelationDecl) -> Result<f64, JgError> {
+fn lower_cardinality(r: &RelationDecl<'_>) -> Result<f64, JgError> {
     let Some(lit) = r.cardinality else {
         return Err(JgError::new(
             format!(
@@ -260,7 +281,7 @@ fn lower_cardinality(r: &RelationDecl) -> Result<f64, JgError> {
     Ok(lit.value)
 }
 
-fn lower_rows(r: &RelationDecl) -> Result<Option<usize>, JgError> {
+fn lower_rows(r: &RelationDecl<'_>) -> Result<Option<usize>, JgError> {
     let Some(lit) = r.rows else { return Ok(None) };
     if !(lit.value.is_finite() && lit.value.fract() == 0.0 && lit.value >= 1.0) {
         return Err(JgError::new(
@@ -271,7 +292,7 @@ fn lower_rows(r: &RelationDecl) -> Result<Option<usize>, JgError> {
     Ok(Some(lit.value as usize))
 }
 
-fn lower_selectivity(j: &JoinDecl) -> Result<f64, JgError> {
+fn lower_selectivity(j: &JoinDecl<'_>) -> Result<f64, JgError> {
     let Some(lit) = j.selectivity else {
         return Err(JgError::new(
             "join is missing the required `selectivity` attribute",
@@ -287,22 +308,24 @@ fn lower_selectivity(j: &JoinDecl) -> Result<f64, JgError> {
     Ok(lit.value)
 }
 
+/// Resolves one side's names into `out` (cleared first), rejecting a name listed twice.
 fn resolve_side(
-    names: &[crate::ast::Name],
-    resolve: &impl Fn(&crate::ast::Name) -> Result<usize, JgError>,
-) -> Result<Vec<usize>, JgError> {
-    let mut out = Vec::with_capacity(names.len());
-    for (i, n) in names.iter().enumerate() {
+    names: &[Name<'_>],
+    resolve: &impl Fn(&Name<'_>) -> Result<usize, JgError>,
+    out: &mut Vec<usize>,
+) -> Result<(), JgError> {
+    out.clear();
+    for n in names {
         let id = resolve(n)?;
         if out.contains(&id) {
             return Err(JgError::new(
                 format!("relation `{}` appears twice in this hypernode", n.text),
-                names[i].span,
+                n.span,
             ));
         }
         out.push(id);
     }
-    Ok(out)
+    Ok(())
 }
 
 fn check_disjoint(
@@ -310,7 +333,7 @@ fn check_disjoint(
     left_span: &Span,
     right: &[usize],
     right_span: &Span,
-    q: &QueryDecl,
+    q: &QueryDecl<'_>,
 ) -> Result<(), JgError> {
     if let Some(&shared) = left.iter().find(|id| right.contains(id)) {
         return Err(JgError::new(
@@ -324,12 +347,12 @@ fn check_disjoint(
     Ok(())
 }
 
-fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
+fn lower_options(q: &QueryDecl<'_>) -> Result<QueryOptions, JgError> {
     let mut opts = QueryOptions::default();
     for o in &q.options {
         // Duplicate options are rejected like every other duplicate attribute of the
         // language — a silent last-wins would let a pasted-in override go unnoticed.
-        let duplicate = match o.key.text.as_str() {
+        let duplicate = match o.key.text {
             "ccp_budget" => opts.ccp_budget.is_some(),
             "idp_block_size" => opts.idp_block_size.is_some(),
             "time_budget_ms" => opts.time_budget.is_some(),
@@ -347,7 +370,7 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                 o.key.span,
             ));
         }
-        match o.key.text.as_str() {
+        match o.key.text {
             "ccp_budget" => {
                 opts.ccp_budget = Some(option_usize(&o.value, 1, "ccp_budget")?);
             }
@@ -428,7 +451,7 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
     Ok(opts)
 }
 
-fn option_usize(value: &OptionValue, min: usize, key: &str) -> Result<usize, JgError> {
+fn option_usize(value: &OptionValue<'_>, min: usize, key: &str) -> Result<usize, JgError> {
     match value {
         OptionValue::Number(n)
             if n.value.is_finite() && n.value.fract() == 0.0 && n.value >= min as f64 =>
@@ -555,6 +578,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("appears twice"));
+    }
+
+    #[test]
+    fn the_earliest_declared_repeat_is_the_duplicate_reported() {
+        // `b` repeats at the third declaration, `a` only at the fourth.
+        let src = "query t {\n  relation a cardinality=1\n  relation b cardinality=1\n  \
+                   relation b cardinality=2\n  relation a cardinality=2\n}";
+        let err = parse_queries(src).unwrap_err();
+        assert!(
+            err.message.contains("`b` is declared twice"),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.span.start, src.rfind("b cardinality=2").unwrap());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::span::{JgError, Span};
 ///
 /// Fails with a spanned [`JgError`] on the first lexical or syntactic violation; empty input
 /// (no `query` block) is an error too.
-pub fn parse(source: &str) -> Result<JgFile, JgError> {
+pub fn parse(source: &str) -> Result<JgFile<'_>, JgError> {
     let tokens = lex(source)?;
     let mut p = Parser {
         source,
@@ -109,10 +109,10 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn name(&mut self) -> Result<Name, JgError> {
+    fn name(&mut self) -> Result<Name<'s>, JgError> {
         let t = self.expect(TokenKind::Ident)?;
         Ok(Name {
-            text: t.text(self.source).to_string(),
+            text: t.text(self.source),
             span: t.span,
         })
     }
@@ -129,7 +129,7 @@ impl<'s> Parser<'s> {
         })
     }
 
-    fn query(&mut self) -> Result<QueryDecl, JgError> {
+    fn query(&mut self) -> Result<QueryDecl<'s>, JgError> {
         self.expect_keyword("query")?;
         let name = self.name()?;
         self.expect(TokenKind::LBrace)?;
@@ -163,7 +163,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn relation(&mut self) -> Result<RelationDecl, JgError> {
+    fn relation(&mut self) -> Result<RelationDecl<'s>, JgError> {
         self.expect_keyword("relation")?;
         let name = self.name()?;
         let mut decl = RelationDecl {
@@ -201,7 +201,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn join(&mut self) -> Result<JoinDecl, JgError> {
+    fn join(&mut self) -> Result<JoinDecl<'s>, JgError> {
         let kw = self.expect_keyword("join")?;
         let left = self.join_side()?;
         self.expect(TokenKind::Connector)?;
@@ -250,7 +250,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn join_side(&mut self) -> Result<JoinSide, JgError> {
+    fn join_side(&mut self) -> Result<JoinSide<'s>, JgError> {
         if self.at(TokenKind::LBrace) {
             let open = self.bump();
             let relations = self.name_list(TokenKind::RBrace)?;
@@ -277,7 +277,7 @@ impl<'s> Parser<'s> {
     }
 
     /// Parses `IDENT ("," IDENT)* <close>` and consumes the closing token.
-    fn name_list(&mut self, close: TokenKind) -> Result<Vec<Name>, JgError> {
+    fn name_list(&mut self, close: TokenKind) -> Result<Vec<Name<'s>>, JgError> {
         let mut names = vec![self.name()?];
         loop {
             if self.at(TokenKind::Comma) {
@@ -290,7 +290,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn option(&mut self) -> Result<OptionDecl, JgError> {
+    fn option(&mut self) -> Result<OptionDecl<'s>, JgError> {
         self.expect_keyword("option")?;
         let key = self.name()?;
         self.expect(TokenKind::Equals)?;

@@ -15,12 +15,12 @@
 //!   structural comparison and treated as a miss for safety).
 //!
 //! Sharding keeps the lock granularity small under the concurrent batch driver: a lookup locks
-//! one shard for a hash probe and a clone, never for the (comparatively long) optimization
+//! one shard for a hash probe and a copy of the plan, never for the (comparatively long) optimization
 //! itself. Recency is a relaxed global tick; eviction scans the one affected shard (shard
 //! capacities are small) for the oldest variant.
 
 use crate::fingerprint::Fingerprint;
-use dphyp::{same_shape, CachedTable, PlanTier, QuerySpec};
+use dphyp::{same_shape, CachedTable, CanonicalQuery, PlanTier, QuerySpec};
 use qo_plan::PlanNode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +78,8 @@ pub(crate) struct Entry {
 
 /// Outcome of a cache lookup.
 pub(crate) enum Lookup {
-    /// Shape and statistics match: the cached plan is current.
+    /// Shape and statistics match: the cached plan is current. `plan` is already translated
+    /// into the caller's original ids.
     Hit {
         plan: PlanNode,
         cost: f64,
@@ -94,8 +95,10 @@ pub(crate) enum Lookup {
 /// Aggregated telemetry of the plan cache (all counters since construction).
 ///
 /// Latency totals are wall-clock sums of the *whole* serving path per outcome — canonicalize,
-/// fingerprint, lookup, plus the outcome's work (clone / re-cost / full optimization) — so
-/// `miss_time / misses` vs `hit_time / hits` is the end-to-end speedup of warm serving.
+/// fingerprint, lookup, plus the outcome's work (plan translation / re-cost / full
+/// optimization) — so `miss_time / misses` vs `hit_time / hits` is the end-to-end speedup of
+/// warm serving. Items of a batch (`Service::plan_batch`) are canonicalized up front to group
+/// them by shape, so for them canonicalization is not included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Full hits (plan served from cache unchanged).
@@ -216,6 +219,10 @@ impl PlanCache {
     /// Looks up a canonicalized query. Outcome counters are recorded by the caller (which
     /// knows how a `Shape` outcome resolved), not here.
     ///
+    /// A hit's plan is translated into the query's original ids straight from the cached
+    /// tree ([`CanonicalQuery::plan_to_original`]), so a hit builds one tree, not a clone and
+    /// then its translation.
+    ///
     /// An exact variant (same options, same stats, same spec) is a [`Lookup::Hit`]; otherwise
     /// the most recently used same-options variant with the same skeleton seeds a
     /// [`Lookup::Shape`] re-cost. Variants planned under different optimizer options are never
@@ -225,8 +232,9 @@ impl PlanCache {
         &self,
         fp: Fingerprint,
         options_key: u64,
-        canonical_spec: &QuerySpec,
+        canonical: &CanonicalQuery,
     ) -> Lookup {
+        let canonical_spec = &canonical.spec;
         let tick = self.next_tick();
         let mut shard = self.shard(fp.shape).lock().expect("cache shard poisoned");
         let Some(bucket) = shard.get_mut(&fp.shape) else {
@@ -239,7 +247,7 @@ impl PlanCache {
         }) {
             slot.last_used = tick;
             return Lookup::Hit {
-                plan: slot.entry.plan.clone(),
+                plan: canonical.plan_to_original(&slot.entry.plan),
                 cost: slot.entry.cost,
                 cardinality: slot.entry.cardinality,
                 tier: slot.entry.tier,

@@ -56,13 +56,14 @@ impl Fingerprint {
     }
 }
 
-/// Digests the canonical spec's statistics through the catalog's stats-epoch view.
+/// Digests the canonical spec's statistics: the stats epoch of its catalog at the width the
+/// optimizer would instantiate.
 fn stats_hash(spec: &QuerySpec) -> u64 {
     let n = spec.node_count();
     let StatsEpoch(epoch) = if n <= 64 {
-        spec.instantiate_catalog::<1>().stats_epoch()
+        spec.stats_epoch::<1>()
     } else if n <= 128 {
-        spec.instantiate_catalog::<2>().stats_epoch()
+        spec.stats_epoch::<2>()
     } else {
         // Oversized specs fail planning before any cache interaction; the value is never used.
         StatsEpoch(0)

@@ -28,7 +28,8 @@ pub struct ServeRecord {
     pub tier: PlanTier,
     /// Which serving path answered (hit / re-cost / miss / re-cost fallback).
     pub source: PlanSource,
-    /// End-to-end serve latency in nanoseconds.
+    /// End-to-end serve latency in nanoseconds, canonicalization included (except for
+    /// items of [`crate::Service::plan_batch`], which are canonicalized up front).
     pub latency_ns: u64,
     /// The served plan's modeled cost.
     pub cost: f64,

@@ -12,6 +12,7 @@ use dphyp::{
 use qo_ingest::{parse_queries, IngestQuery, JgError};
 use qo_obsv::{MetricsSnapshot, SamplerOptions, SamplingSink, Span};
 use qo_plan::PlanNode;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -336,7 +337,9 @@ impl Service {
     /// The shared batch machinery: work-stealing over shape groups (see [`Service::plan_batch`]
     /// for the determinism argument). Canonicalization happens once per item, up front — the
     /// grouping needs the shape hash anyway, and the workers serve the prepared canonical form
-    /// directly.
+    /// directly. Unlike the single-query entry points, a batch item's serve latency (its
+    /// flight record, sampled trace and [`CacheStats`] totals) therefore excludes
+    /// canonicalization.
     fn batch_with<T: Sync>(
         &self,
         items: &[T],
@@ -376,7 +379,7 @@ impl Service {
         if threads <= 1 || items.len() <= 1 {
             return prepared
                 .iter()
-                .map(|(canonical, adaptive)| self.serve(canonical, *adaptive))
+                .map(|(canonical, adaptive)| self.serve(Query::Canonical(canonical), *adaptive))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -389,7 +392,7 @@ impl Service {
                     let Some(group) = groups.get(g) else { break };
                     for &i in group {
                         let (canonical, adaptive) = &prepared[i];
-                        let r = self.serve(canonical, *adaptive);
+                        let r = self.serve(Query::Canonical(canonical), *adaptive);
                         results.lock().expect("batch results poisoned")[i] = Some(r);
                     }
                 });
@@ -409,7 +412,7 @@ impl Service {
         spec: &QuerySpec,
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
-        self.serve(&canonicalize(spec), adaptive)
+        self.serve(Query::Spec(spec), adaptive)
     }
 
     /// Re-plans a spec under statistics observed from executing its previous plan — the
@@ -440,14 +443,15 @@ impl Service {
         self.plan_spec_with(&spec.apply_observed(observed), adaptive)
     }
 
-    /// Serves one already-canonicalized query through the always-on observability shell:
-    /// the sampler admits the serve (installing a per-serve recording sink for the decided
-    /// 1-in-N, teeing into any ambient sink), [`serve_inner`](Self::serve_inner) does the
-    /// actual work, and the completed serve lands in the flight recorder. The unsampled
-    /// path adds two relaxed atomics and one ring push — sampling never changes the answer.
+    /// Serves one query through the always-on observability shell: the sampler admits the
+    /// serve (installing a per-serve recording sink for the decided 1-in-N, teeing into any
+    /// ambient sink), [`serve_inner`](Self::serve_inner) does the actual work — canonicalization
+    /// included, for a [`Query::Spec`] — and the completed serve lands in the flight recorder.
+    /// The unsampled path adds two relaxed atomics and one ring push — sampling never changes
+    /// the answer.
     fn serve(
         &self,
-        canonical: &CanonicalQuery,
+        query: Query<'_>,
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
         let start = Instant::now();
@@ -456,14 +460,14 @@ impl Service {
             .unwrap_or(self.options.sampling.sample_rate);
         let ticket = self.sampler.begin_serve(rate);
         let seq = ticket.seq;
-        let result = match &ticket.sample {
+        let (canonical, result) = match &ticket.sample {
             Some(sample) => {
                 // The guard drops before the harvest below, so the root `serve` span has
                 // closed into the recording.
                 let _guard = sample.install();
-                self.serve_inner(canonical, adaptive)
+                self.serve_inner(query, adaptive, start)
             }
-            None => self.serve_inner(canonical, adaptive),
+            None => self.serve_inner(query, adaptive, start),
         };
         let latency_ns = start.elapsed().as_nanos() as u64;
         let outcome = self.sampler.finish_serve(ticket, latency_ns);
@@ -475,7 +479,7 @@ impl Service {
             served.serve_seq = seq;
             served.trace_id = outcome.map(|o| o.trace_id);
             served.order_digest = served.plan.order_digest();
-            served.layout = layout_digest(canonical);
+            served.layout = layout_digest(&canonical);
             // Regret shell: if execution feedback has measured this candidate worse than the
             // best-known order for the shape (or spent the exploration budget), serve the
             // proven best instead. Shapes never reported through `observe_execution` have no
@@ -484,7 +488,7 @@ impl Service {
                 self.regret
                     .pin(served.fingerprint.shape, served.layout, served.order_digest)
             {
-                if let Some(pinned) = self.serve_pinned(canonical, &adaptive, &served, pin) {
+                if let Some(pinned) = self.serve_pinned(&canonical, &adaptive, &served, pin) {
                     served = pinned;
                 }
             }
@@ -503,19 +507,36 @@ impl Service {
         })
     }
 
-    /// The serving pipeline proper: fingerprint, cache lookup, then hit / re-cost / full
-    /// optimization.
-    fn serve_inner(
+    /// The serving pipeline proper: canonicalization (unless done up front), fingerprint,
+    /// cache lookup, then hit / re-cost / full optimization. `start` is the serve's clock,
+    /// which the cache's per-outcome latency totals read too. Returns the canonical form with
+    /// the outcome, for the shell's regret check.
+    fn serve_inner<'q>(
+        &self,
+        query: Query<'q>,
+        adaptive: AdaptiveOptions,
+        start: Instant,
+    ) -> (Cow<'q, CanonicalQuery>, Result<ServedPlan, OptimizeError>) {
+        let _span = Span::enter("serve");
+        let canonical = match query {
+            Query::Spec(spec) => Cow::Owned(canonicalize(spec)),
+            Query::Canonical(canonical) => Cow::Borrowed(canonical),
+        };
+        let result = self.serve_canonical(&canonical, adaptive, start);
+        (canonical, result)
+    }
+
+    /// Fingerprint, cache lookup, then hit / re-cost / full optimization.
+    fn serve_canonical(
         &self,
         canonical: &CanonicalQuery,
         adaptive: AdaptiveOptions,
+        start: Instant,
     ) -> Result<ServedPlan, OptimizeError> {
-        let _span = Span::enter("serve");
-        let start = Instant::now();
         let fp = Fingerprint::of(canonical);
         let opts_key = options_key(&adaptive);
 
-        match self.cache.lookup(fp, opts_key, &canonical.spec) {
+        match self.cache.lookup(fp, opts_key, canonical) {
             Lookup::Hit {
                 plan,
                 cost,
@@ -523,7 +544,7 @@ impl Service {
                 tier,
             } => {
                 let served = ServedPlan {
-                    plan: canonical.plan_to_original(&plan),
+                    plan,
                     cost,
                     cardinality,
                     tier,
@@ -669,6 +690,17 @@ impl Service {
             layout: served.layout,
         })
     }
+}
+
+/// What a serve starts from.
+#[derive(Clone, Copy)]
+enum Query<'a> {
+    /// A spec still to canonicalize: the single-query entry points, whose serve clock and
+    /// sampled trace cover canonicalization.
+    Spec(&'a QuerySpec),
+    /// A canonical form prepared up front ([`Service::plan_batch`], which needs every
+    /// item's shape hash to group the batch).
+    Canonical(&'a CanonicalQuery),
 }
 
 /// Digest of a canonical query's id mappings: the regret ledger's guard that a stored

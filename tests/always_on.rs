@@ -77,6 +77,59 @@ fn plans_are_bit_identical_with_ambient_sampling_on_and_off() {
     }
 }
 
+/// The serve clock covers canonicalization: a serve sampled at rate 1, cold or warm, through
+/// the spec or the `.jg` entry point, carries a `canonicalize` span in its exemplar, and the
+/// latency its flight record and exemplar report is at least that span's duration.
+#[test]
+fn serve_latency_and_exemplar_cover_canonicalization() {
+    let service = service_with_rate(1);
+    let q = corpus_query("job_03a").expect("corpus query exists");
+    let text = qo_workloads::CORPUS
+        .iter()
+        .find(|e| e.name == "job_03a")
+        .expect("corpus text exists")
+        .source;
+    let served = [
+        service.plan_ingest(&q).expect("plannable"),
+        service.plan_ingest(&q).expect("plannable"),
+        service.plan_jg(text).expect("plannable").remove(0),
+    ];
+    assert_eq!(served[0].source, PlanSource::Miss);
+    assert_eq!(served[1].source, PlanSource::CacheHit);
+    assert_eq!(served[2].source, PlanSource::CacheHit);
+    let exemplars = service.sampler().exemplars();
+    let records = service.flight_recorder().records();
+    for s in &served {
+        let trace_id = s.trace_id.expect("rate 1 samples every serve");
+        let ex = exemplars
+            .iter()
+            .find(|ex| ex.trace_id == trace_id)
+            .expect("the reservoir holds every exemplar of three serves");
+        let record = records
+            .iter()
+            .find(|r| r.seq == s.serve_seq)
+            .expect("flight record");
+        assert_eq!(
+            ex.trace.phase_count("canonicalize"),
+            1,
+            "serve {} ({}): exemplar must contain the canonicalize span, got {:?}",
+            s.serve_seq,
+            s.source,
+            ex.trace.spans
+        );
+        let canonicalize_ns = ex.trace.phase_ns("canonicalize");
+        assert!(canonicalize_ns > 0);
+        assert_eq!(record.latency_ns, ex.latency_ns);
+        assert!(
+            record.latency_ns >= canonicalize_ns,
+            "serve {}: latency {} ns < canonicalize span {canonicalize_ns} ns",
+            s.serve_seq,
+            record.latency_ns
+        );
+        assert!(record.latency_ns >= ex.trace.phase_ns("serve"));
+    }
+}
+
 /// The `.jg` surface: `option sample_rate = 1` forces a trace for that query's serves while
 /// `option sample_rate = 0` opts out, both overriding the service-wide default — and neither
 /// perturbs the plan.
